@@ -46,7 +46,7 @@ func main() {
 	size := flag.String("size", "64", "transfer size(s) in bytes, comma-separated (microbenchmark modes; -workload scenarios define their own sizes)")
 	hops := flag.String("hops", "1", "one-way intra-rack hop count(s), comma-separated")
 	nodes := flag.String("nodes", "1", "detailed node count(s), comma-separated, up to 512: 1 = emulated rack, n>1 = real n-node cluster (cross-node traffic over the torus hop model)")
-	placement := flag.String("placement", "uniform", "multi-node placement policy/policies, comma-separated: uniform (every pair -hops apart) | identity | clustered | scattered | random:<seed> (real 3D-torus coordinates, the paper's 8x8x8 rack geometry; -nodes 512 covers the full rack; torus = deprecated alias for identity)")
+	placement := flag.String("placement", "uniform", "multi-node placement policy/policies, comma-separated: uniform (every pair -hops apart) | identity | clustered | scattered | random:<seed> (real 3D-torus coordinates, the paper's 8x8x8 rack geometry; -nodes 512 covers the full rack; torus is another spelling of identity)")
 	core := flag.String("core", "27", "issuing core(s) (latency mode; -workload scenarios define their own cores), comma-separated")
 	seed := flag.String("seed", "1", "simulation seed(s), comma-separated")
 	drop := flag.String("drop", "0", "fabric drop rate(s) in [0,1), comma-separated; > 0 needs -nodes > 1 and arms the request timeout so drops recover by retry")

@@ -158,7 +158,7 @@ func TestCheckSweepPoints(t *testing.T) {
 		{"negative hops", NewSweep(cfg).Modes(Latency).Sizes(64).Hops(-1).Points()},
 		{"beyond addressing limit", NewSweep(cfg).Modes(Latency).Sizes(64).Nodes(5000).Points()},
 		{"beyond torus capacity", NewSweep(cfg).Modes(Latency).Sizes(64).Nodes(1000).
-			TorusPlacement(true).Points()},
+			Placements(PlaceIdentity).Points()},
 		{"unknown scenario", NewSweep(cfg).Workloads("nosuch").Points()},
 		{"bad size", NewSweep(cfg).Modes(Latency).Sizes(63).Points()},
 		{"core out of range", NewSweep(cfg).Modes(Latency).Sizes(64).Cores(10_000).Points()},

@@ -153,7 +153,7 @@ func RunDegradedMode(cfg Config, nodes int, scenario string, dropRates []float64
 	}
 	var settings []setting
 	for _, rate := range dropRates {
-		if rate < 0 || rate >= 1 {
+		if !validDropRate(rate) {
 			return out, fmt.Errorf("rackni: drop rate %g out of range [0, 1)", rate)
 		}
 		settings = append(settings, setting{

@@ -123,8 +123,8 @@ func NewCluster(cfg config.Config, spec ClusterSpec) (*Cluster, error) {
 	}
 	if spec.FabricRouting != fabric.RouteNone && spec.Placement == nil {
 		// The congestion model contends real torus links, so give the
-		// cluster real geometry: identity placement, the same coordinates
-		// the TorusPlacement sweep axis assigns.
+		// cluster real geometry: node i at torus coordinate i, as the
+		// identity placement policy assigns.
 		if spec.Nodes > topo.Nodes() {
 			return nil, fmt.Errorf("node: %d nodes exceed the %d-node torus (radix %d) the congestion model routes over",
 				spec.Nodes, topo.Nodes(), cfg.TorusRadix)

@@ -32,8 +32,7 @@ const (
 	// places nodes some other way).
 	None Kind = iota
 	// Identity places node i at torus coordinate i — consecutive indices
-	// pack into x-major rows, the geometry of the paper's 512-node rack
-	// and of the legacy TorusPlacement sweep flag.
+	// pack into x-major rows, the geometry of the paper's 512-node rack.
 	Identity
 	// Clustered packs consecutive node indices into 2x2x2 torus sub-cubes,
 	// so communicating groups of ~8 sit within 3 hops of one another:

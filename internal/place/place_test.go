@@ -46,8 +46,7 @@ func TestCoordinatesAreValidPermutations(t *testing.T) {
 	}
 }
 
-// TestIdentityCoords: identity is exactly the coordinates the legacy
-// TorusPlacement flag assigned — node i at coordinate i.
+// TestIdentityCoords: identity places node i at coordinate i.
 func TestIdentityCoords(t *testing.T) {
 	coords, err := Policy{Kind: Identity}.Coordinates(5, 8)
 	if err != nil {

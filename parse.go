@@ -4,6 +4,7 @@ package rackni
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -172,12 +173,19 @@ func ParseShards(s string) ([]int, error) {
 func ParseDropRates(s string) ([]float64, error) {
 	return parseList(s, func(tok string) (float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil || v < 0 || v >= 1 {
+		if err != nil || !validDropRate(v) {
 			return 0, fmt.Errorf("rackni: bad drop rate %q (want [0, 1))", tok)
 		}
 		return v, nil
 	})
 }
+
+// validDropRate reports whether v is a drop probability in [0, 1); NaN
+// fails both comparisons.
+func validDropRate(v float64) bool { return v >= 0 && v < 1 }
+
+// validRate reports whether v is a positive, finite arrival rate.
+func validRate(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // ParseWindows parses a comma-separated list of non-negative QP credit
 // windows ("1,4,16,0"); 0 means uncapped (WQ-depth bound only).
@@ -213,8 +221,7 @@ func ParseFabricRoutings(s string) ([]RoutePolicy, error) {
 
 // ParsePlacement converts a placement-policy name to its PlacementPolicy.
 // "uniform" (or "none") is the zero policy — the fixed-hop model; "torus"
-// is a deprecated alias for "identity", the coordinates the old
-// TorusPlacement flag assigned.
+// is another spelling of "identity".
 func ParsePlacement(s string) (PlacementPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "uniform", "none":
@@ -255,8 +262,8 @@ func ParseArrivalKinds(s string) ([]string, error) { return parseList(s, ParseAr
 func ParseRates(s string) ([]float64, error) {
 	return parseList(s, func(tok string) (float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("rackni: bad arrival rate %q (want > 0 req/kcycle)", tok)
+		if err != nil || !validRate(v) {
+			return 0, fmt.Errorf("rackni: bad arrival rate %q (want finite > 0 req/kcycle)", tok)
 		}
 		return v, nil
 	})

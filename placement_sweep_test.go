@@ -13,54 +13,6 @@ var wallMS = regexp.MustCompile(`"wall_ms": [0-9.]+`)
 
 func stripWall(blob []byte) string { return wallMS.ReplaceAllString(string(blob), `"wall_ms": 0`) }
 
-// TestTorusPlacementAliasEquivalence: the deprecated TorusPlacement knob
-// is a pure alias for Placements(PlaceIdentity) — the two sweeps expand
-// to identical Point lists and render byte-identical output, so every
-// pre-placement-axis invocation keeps its exact results.
-func TestTorusPlacementAliasEquivalence(t *testing.T) {
-	cfg := quickClusterCfg()
-	build := func() (*Sweep, *Sweep) {
-		old := NewSweep(cfg).Designs(NISplit).Modes(Latency).Sizes(64).Nodes(2).TorusPlacement(true)
-		new_ := NewSweep(cfg).Designs(NISplit).Modes(Latency).Sizes(64).Nodes(2).Placements(PlaceIdentity)
-		return old, new_
-	}
-	old, new_ := build()
-	if !reflect.DeepEqual(old.Points(), new_.Points()) {
-		t.Fatalf("alias expands differently:\nold: %+v\nnew: %+v", old.Points(), new_.Points())
-	}
-	oldRes, err := old.Run(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := new_.Run(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes.Format() != newRes.Format() {
-		t.Fatalf("Format differs:\nold:\n%s\nnew:\n%s", oldRes.Format(), newRes.Format())
-	}
-	if oldRes.CSV() != newRes.CSV() {
-		t.Fatalf("CSV differs:\nold:\n%s\nnew:\n%s", oldRes.CSV(), newRes.CSV())
-	}
-	oldJSON, err := oldRes.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newJSON, err := newRes.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stripWall(oldJSON) != stripWall(newJSON) {
-		t.Fatalf("JSON differs:\nold:\n%s\nnew:\n%s", oldJSON, newJSON)
-	}
-	// An explicit Placements axis wins over the legacy knob.
-	both := NewSweep(cfg).Designs(NISplit).Modes(Latency).Sizes(64).Nodes(2).
-		TorusPlacement(true).Placements(PlaceClustered).Points()
-	if len(both) != 1 || both[0].Placement != PlaceClustered {
-		t.Fatalf("Placements axis did not override TorusPlacement: %+v", both)
-	}
-}
-
 // TestPlacementAxisRenderers: the placement column appears exactly when a
 // result set contains a named placement point, keeping placement-free
 // output byte-identical to its pre-placement form — including sweeps that

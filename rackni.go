@@ -260,8 +260,8 @@ type PlacementPolicy = place.Policy
 // Named placement policies for ClusterSpec.Place and the Sweep
 // Placements axis.
 var (
-	// PlaceIdentity places node i at torus coordinate i — the geometry the
-	// deprecated TorusPlacement flag assigned.
+	// PlaceIdentity places node i at torus coordinate i — the geometry of
+	// the paper's 512-node rack.
 	PlaceIdentity = PlacementPolicy{Kind: place.Identity}
 	// PlaceClustered packs consecutive node indices into 2x2x2 torus
 	// sub-cubes: maximal locality for communicating groups.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -76,15 +77,6 @@ type Point struct {
 	Core     int
 	Scenario string
 	Nodes    int
-	// TorusPlacement places the point's cluster nodes at coordinates
-	// 0..Nodes-1 of the rack's 3D torus (real pairwise hop distances, the
-	// paper's 512-node rack geometry) instead of the uniform fixed-hop
-	// model. Requires Nodes ≤ TorusRadix³; single-node points ignore it.
-	//
-	// Deprecated: equivalent to Placement = PlaceIdentity, which the
-	// Sweep's Placements axis and racksim -placement set; kept so old
-	// callers keep working.
-	TorusPlacement bool
 	// Placement, when non-zero, places the point's cluster nodes on the
 	// rack's 3D torus under the named policy (identity, clustered,
 	// scattered, random:<seed>) — real pairwise hop distances instead of
@@ -130,20 +122,6 @@ func (p Point) nodeCount() int {
 	return p.Nodes
 }
 
-// placement resolves the point's effective placement policy: the named
-// Placement if set, else the identity policy when the deprecated
-// TorusPlacement flag is up on a multi-node point, else the zero policy
-// (the uniform fixed-hop model).
-func (p Point) placement() PlacementPolicy {
-	if !p.Placement.IsZero() {
-		return p.Placement
-	}
-	if p.TorusPlacement && p.nodeCount() > 1 {
-		return PlaceIdentity
-	}
-	return PlacementPolicy{}
-}
-
 // modeLabel names the point's run kind for tables: the scenario name for
 // workload points, the microbenchmark otherwise.
 func (p Point) modeLabel() string {
@@ -153,33 +131,16 @@ func (p Point) modeLabel() string {
 	return p.Mode.String()
 }
 
-// label is the point's compact identity, used in errors and progress lines.
+// label is the point's compact identity, used in errors and progress
+// lines: the fixed axes, then the suffix of each optional axis present on
+// the point, in registry order.
 func (p Point) label() string {
 	l := fmt.Sprintf("%v/%v/%v/%v/%dB@%dhops/seed%d",
 		p.Config.Design, p.Config.Topology, p.Config.Routing, p.modeLabel(),
 		p.Size, p.Hops, p.Config.Seed)
-	if p.nodeCount() > 1 {
-		l += fmt.Sprintf("/%dnodes", p.nodeCount())
-		if pol := p.placement(); !pol.IsZero() {
-			l += "-" + pol.String()
-		}
-		if p.Shards > 1 {
-			l += fmt.Sprintf("/%dshards", p.Shards)
-		}
-	}
-	if p.Faults > 0 {
-		l += fmt.Sprintf("/drop%g", p.Faults)
-	}
-	if p.Window > 0 {
-		l += fmt.Sprintf("/win%d", p.Window)
-	}
-	if p.FabricRouting != RouteNone {
-		l += "/" + p.FabricRouting.String()
-	}
-	if p.Mode == ServiceMode {
-		l += "/" + p.Arrival.String()
-		if p.Hedge > 0 {
-			l += fmt.Sprintf("/hedge%d", p.Hedge)
+	for _, c := range axisColumns {
+		if c.present(p) {
+			l += c.label(p)
 		}
 	}
 	return l
@@ -201,25 +162,24 @@ func (p Point) label() string {
 // both), contributing one point per
 // design/topology/routing/hops/nodes/faults/window/seed combination.
 type Sweep struct {
-	base        Config
-	designs     []Design
-	topos       []Topology
-	routings    []Routing
-	modes       []Mode
-	workloads   []string
-	sizes       []int
-	hops        []int
-	seeds       []uint64
-	cores       []int
-	nodes       []int
-	shards      []int
-	faults      []float64
-	windows     []int
-	froutings   []RoutePolicy
-	arrivals    []ArrivalSpec
-	hedges      []int64
-	placements  []PlacementPolicy
-	torusPlaced bool
+	base       Config
+	designs    []Design
+	topos      []Topology
+	routings   []Routing
+	modes      []Mode
+	workloads  []string
+	sizes      []int
+	hops       []int
+	seeds      []uint64
+	cores      []int
+	nodes      []int
+	shards     []int
+	faults     []float64
+	windows    []int
+	froutings  []RoutePolicy
+	arrivals   []ArrivalSpec
+	hedges     []int64
+	placements []PlacementPolicy
 }
 
 // NewSweep starts a sweep over the given base configuration.
@@ -353,45 +313,19 @@ func (s *Sweep) Hedges(hs ...int64) *Sweep {
 // every multi-node point's nodes at its coordinates on the rack's 3D
 // torus (real pairwise hop distances from Torus3D); the zero policy
 // contributes a uniform fixed-hop point. Node counts must fit the torus
-// (TorusRadix³). Single-node points collapse the axis to the uniform
-// model — the emulated rack has no torus to place nodes on.
+// (TorusRadix³). CheckSweepPoints rejects a named policy on a single-node
+// point: the emulated rack has no torus to place nodes on.
 func (s *Sweep) Placements(ps ...PlacementPolicy) *Sweep {
 	s.placements = append(s.placements[:0], ps...)
 	return s
 }
 
-// TorusPlacement makes every multi-node point place its nodes at real
-// coordinates of the rack's 3D torus (identity placement, pairwise
-// distances from Torus3D) instead of the uniform fixed-hop model — the
-// geometry of the paper's full 512-node rack. Node counts must not exceed
-// the torus size (TorusRadix³).
-//
-// Deprecated: TorusPlacement(true) is an alias for
-// Placements(PlaceIdentity), consulted only when no Placements axis is
-// set; the two expand to identical point lists.
-func (s *Sweep) TorusPlacement(on bool) *Sweep {
-	s.torusPlaced = on
-	return s
-}
-
 // Points expands the sweep into its cross product, in nesting order.
 func (s *Sweep) Points() []Point {
-	designs := s.designs
-	if len(designs) == 0 {
-		designs = []Design{s.base.Design}
-	}
-	topos := s.topos
-	if len(topos) == 0 {
-		topos = []Topology{s.base.Topology}
-	}
-	routings := s.routings
-	if len(routings) == 0 {
-		routings = []Routing{s.base.Routing}
-	}
-	hops := s.hops
-	if len(hops) == 0 {
-		hops = []int{s.base.DefaultHops}
-	}
+	designs := orDefault(s.designs, s.base.Design)
+	topos := orDefault(s.topos, s.base.Topology)
+	routings := orDefault(s.routings, s.base.Routing)
+	hops := orDefault(s.hops, s.base.DefaultHops)
 	// The run-kind axis merges the microbenchmark modes, the named
 	// scenarios and the open-loop arrival processes; with none set, a
 	// single latency run is the default.
@@ -410,55 +344,17 @@ func (s *Sweep) Points() []Point {
 	for _, a := range s.arrivals {
 		kinds = append(kinds, runKind{mode: ServiceMode, arrival: a})
 	}
-	if len(kinds) == 0 {
-		kinds = []runKind{{mode: Latency}}
-	}
-	hedges := s.hedges
-	if len(hedges) == 0 {
-		hedges = []int64{0}
-	}
-	sizes := s.sizes
-	if len(sizes) == 0 {
-		sizes = []int{s.base.BlockBytes}
-	}
-	seeds := s.seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{s.base.Seed}
-	}
-	cores := s.cores
-	if len(cores) == 0 {
-		cores = []int{measureCore}
-	}
-	nodes := s.nodes
-	if len(nodes) == 0 {
-		nodes = []int{1}
-	}
-	placements := s.placements
-	if len(placements) == 0 {
-		// The deprecated TorusPlacement flag is the identity policy by
-		// another name; absent both, points keep the uniform fixed-hop model.
-		if s.torusPlaced {
-			placements = []PlacementPolicy{PlaceIdentity}
-		} else {
-			placements = []PlacementPolicy{{}}
-		}
-	}
-	faults := s.faults
-	if len(faults) == 0 {
-		faults = []float64{0}
-	}
-	windows := s.windows
-	if len(windows) == 0 {
-		windows = []int{s.base.QPWindow}
-	}
-	froutings := s.froutings
-	if len(froutings) == 0 {
-		froutings = []RoutePolicy{RouteNone}
-	}
-	shards := s.shards
-	if len(shards) == 0 {
-		shards = []int{1}
-	}
+	kinds = orDefault(kinds, runKind{mode: Latency})
+	hedges := orDefault(s.hedges, 0)
+	sizes := orDefault(s.sizes, s.base.BlockBytes)
+	seeds := orDefault(s.seeds, s.base.Seed)
+	cores := orDefault(s.cores, measureCore)
+	nodes := orDefault(s.nodes, 1)
+	placements := orDefault(s.placements, PlacementPolicy{})
+	faults := orDefault(s.faults, 0)
+	windows := orDefault(s.windows, s.base.QPWindow)
+	froutings := orDefault(s.froutings, RouteNone)
+	shards := orDefault(s.shards, 1)
 	pts := make([]Point, 0,
 		len(designs)*len(topos)*len(routings)*len(hops)*len(nodes)*len(placements)*len(shards)*
 			len(faults)*len(windows)*len(froutings)*len(kinds)*len(sizes)*len(seeds)*len(cores))
@@ -476,17 +372,9 @@ func (s *Sweep) Points() []Point {
 						if nn < 1 {
 							nn = 1
 						}
-						// Single-node points run the emulated rack — no
-						// torus to place nodes on. The legacy TorusPlacement
-						// knob always ignored them silently, so its derived
-						// axis collapses to the uniform model; an explicit
-						// Placements axis instead carries the named policy
+						// A named placement on a single-node point is carried
 						// through so check() can reject the combination.
-						pls := placements
-						if nn <= 1 && len(s.placements) == 0 {
-							pls = []PlacementPolicy{{}}
-						}
-						for _, pl := range pls {
+						for _, pl := range placements {
 							for _, fr := range faults {
 								for _, win := range windows {
 									for _, fab := range froutings {
@@ -541,6 +429,15 @@ func (s *Sweep) Points() []Point {
 		}
 	}
 	return pts
+}
+
+// orDefault returns an axis's values, or the single default value when
+// the axis is unset.
+func orDefault[T any](axis []T, def T) []T {
+	if len(axis) == 0 {
+		return []T{def}
+	}
+	return axis
 }
 
 // Run expands the sweep and executes it; shorthand for
@@ -721,7 +618,7 @@ func effectiveWorkers(requested, points, cores int) int {
 // shape; it is the per-point core of CheckSweepPoints.
 func (p Point) check() error {
 	switch {
-	case p.Faults < 0 || p.Faults >= 1:
+	case !validDropRate(p.Faults):
 		return fmt.Errorf("rackni: drop rate %g out of range [0, 1)", p.Faults)
 	case p.Faults > 0 && p.nodeCount() <= 1:
 		return fmt.Errorf("rackni: fault injection (drop rate %g) requires a multi-node point (-nodes > 1); the single-node rack emulation has no inter-node fabric to fault", p.Faults)
@@ -744,8 +641,8 @@ func (p Point) check() error {
 		if _, err := load.ParseKind(p.Arrival.Kind); err != nil {
 			return err
 		}
-		if p.Arrival.Rate <= 0 {
-			return fmt.Errorf("rackni: service arrival rate %g must be positive (requests per 1000 cycles per client)", p.Arrival.Rate)
+		if !validRate(p.Arrival.Rate) {
+			return fmt.Errorf("rackni: service arrival rate %g must be positive and finite (requests per 1000 cycles per client)", p.Arrival.Rate)
 		}
 	}
 	return nil
@@ -812,8 +709,7 @@ func (p Point) checkShape() error {
 	if p.Nodes > fabric.MaxNodes {
 		return fmt.Errorf("rackni: %d nodes exceeds the %d-node addressing limit", p.Nodes, fabric.MaxNodes)
 	}
-	pol := p.placement()
-	if !pol.IsZero() || p.FabricRouting != RouteNone {
+	if !p.Placement.IsZero() || p.FabricRouting != RouteNone {
 		// Both real torus placement and the congestion fabric (which routes
 		// hop-by-hop over torus coordinates) need every node on the torus.
 		if cube := cfg.TorusRadix * cfg.TorusRadix * cfg.TorusRadix; p.nodeCount() > cube {
@@ -821,10 +717,10 @@ func (p Point) checkShape() error {
 				p.nodeCount(), cube, cfg.TorusRadix)
 		}
 	}
-	if !pol.IsZero() {
+	if !p.Placement.IsZero() {
 		// Reject malformed policies (an unknown kind, say) by name before
 		// the sweep burns cycles; capacity was already checked above.
-		if _, err := pol.Coordinates(p.nodeCount(), cfg.TorusRadix); err != nil {
+		if _, err := p.Placement.Coordinates(p.nodeCount(), cfg.TorusRadix); err != nil {
 			return err
 		}
 	}
@@ -925,7 +821,7 @@ func runClusterPoint(ctx context.Context, p Point, out *Result) {
 		return
 	}
 	spec := ClusterSpec{Nodes: p.nodeCount(), Hops: p.Hops, Faults: p.faultSpec(),
-		FabricRouting: p.FabricRouting, Shards: p.Shards, Place: p.placement()}
+		FabricRouting: p.FabricRouting, Shards: p.Shards, Place: p.Placement}
 	c, err := NewClusterSpec(cfg, spec)
 	if err != nil {
 		out.Err = err
@@ -971,152 +867,193 @@ func runClusterPoint(ctx context.Context, p Point, out *Result) {
 	}
 }
 
-// hasMultiNode reports whether any point of the set runs a real cluster.
-// Renderers add a nodes column only then, so single-node result sets stay
-// byte-identical to their pre-cluster form.
-func (rs Results) hasMultiNode() bool {
-	for _, r := range rs {
-		if r.Point.nodeCount() > 1 {
-			return true
-		}
-	}
-	return false
+// axisColumn is one optional axis of a result set: how the four renderers
+// show it. An axis's Format and CSV columns appear only when some point
+// of the set has it present, so the paper's own runs, which use none of
+// these axes, keep their original tables. JSON fields and label suffixes
+// are decided per point.
+type axisColumn struct {
+	present func(Point) bool
+	head    string             // Format header, each cell with a leading space
+	cell    func(Point) string // Format cells, each with a leading space
+	csvHead string             // CSV headers, each with a trailing comma
+	csvCell func(Point) string // CSV cells, each with a trailing comma
+	// csvMetricHead and csvMetrics are the axis's own CSV metric columns,
+	// after the workload metrics; nil csvMetrics means none.
+	csvMetricHead string
+	csvMetrics    func(Result) string
+	// wlNote extends Format's workload result text; nil means none.
+	wlNote func(*WorkloadResult) string
+	json   func(*resultJSON, Result) // sets the axis fields of a point's record
+	label  func(Point) string        // label suffix of a point it is present on
 }
 
-// hasPlacement reports whether any point of the set places its nodes
-// under a named placement policy (the deprecated TorusPlacement flag
-// resolves to the identity policy). Renderers add a placement column only
-// then, so placement-free result sets stay byte-identical to their
-// pre-placement form.
-func (rs Results) hasPlacement() bool {
-	for _, r := range rs {
-		if !r.Point.placement().IsZero() {
-			return true
-		}
-	}
-	return false
-}
-
-// hasSharded reports whether any point of the set runs its cluster on
-// more than one engine shard. Renderers add a shards column only then, so
-// unsharded result sets stay byte-identical to their pre-sharding form.
-func (rs Results) hasSharded() bool {
-	for _, r := range rs {
-		if r.Point.Shards > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// hasFaults reports whether any point of the set injects faults or caps
-// the QP credit window. Renderers add the drop/window columns only then,
-// so fault-free result sets stay byte-identical to their pre-fault form.
-func (rs Results) hasFaults() bool {
-	for _, r := range rs {
-		if r.Point.Faults > 0 || r.Point.Window > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// hasFabricRouting reports whether any point of the set runs the
-// congestion-faithful fabric. Renderers add a fabric column only then, so
-// uncongested result sets stay byte-identical to their pre-congestion form.
-func (rs Results) hasFabricRouting() bool {
-	for _, r := range rs {
-		if r.Point.FabricRouting != RouteNone {
-			return true
-		}
-	}
-	return false
-}
-
-// hasService reports whether any point of the set runs the open-loop
-// service. Renderers add arrival/hedge columns only then, so service-free
-// result sets stay byte-identical to their pre-service form.
-func (rs Results) hasService() bool {
-	for _, r := range rs {
-		if r.Point.Mode == ServiceMode {
-			return true
-		}
-	}
-	return false
-}
-
-// Format renders the results as an aligned table, one row per point.
-// Workload points report ops, mean and tail percentiles; skipped points
-// render as "-"; failed points show their error. A nodes column appears
-// when the set contains multi-node (Cluster) points, drop/window columns
-// when any point injects faults or caps the QP window (workload rows then
-// also report their retry and permanent-failure counts), and a fabric
-// column when any point runs the congestion-faithful fabric.
-func (rs Results) Format() string {
-	var b strings.Builder
-	multi := rs.hasMultiNode()
-	placed := rs.hasPlacement()
-	sharded := rs.hasSharded()
-	faulty := rs.hasFaults()
-	congested := rs.hasFabricRouting()
-	service := rs.hasService()
-	nodesHdr, nodesFmt := "", ""
-	if multi {
-		nodesHdr = fmt.Sprintf(" %5s", "nodes")
-	}
-	placeHdr, placeFmt := "", ""
-	if placed {
-		placeHdr = fmt.Sprintf(" %-10s", "placement")
-	}
-	shardHdr, shardFmt := "", ""
-	if sharded {
-		shardHdr = fmt.Sprintf(" %6s", "shards")
-	}
-	faultHdr, faultFmt := "", ""
-	if faulty {
-		faultHdr = fmt.Sprintf(" %6s %4s", "drop", "win")
-	}
-	fabricHdr, fabricFmt := "", ""
-	if congested {
-		fabricHdr = fmt.Sprintf(" %8s", "fabric")
-	}
-	svcHdr, svcFmt := "", ""
-	if service {
-		svcHdr = fmt.Sprintf(" %-13s %6s", "arrival", "hedge")
-	}
-	fmt.Fprintf(&b, "%-12s %-8s %-7s %-13s %8s %5s %5s %6s"+nodesHdr+placeHdr+shardHdr+faultHdr+fabricHdr+svcHdr+"  %s\n",
-		"design", "topology", "routing", "mode", "size(B)", "hops", "core", "seed", "result")
-	for _, r := range rs {
-		p := r.Point
-		if multi {
-			nodesFmt = fmt.Sprintf(" %5d", p.nodeCount())
-		}
-		if placed {
-			placeFmt = fmt.Sprintf(" %-10s", p.placement())
-		}
-		if sharded {
-			k := p.Shards
-			if k < 1 {
-				k = 1
+// axisColumns is the registry of optional axes, in column and label
+// order. A new axis is one entry here.
+var axisColumns = []axisColumn{
+	{ // nodes: a real Cluster ran the point
+		present: func(p Point) bool { return p.nodeCount() > 1 },
+		head:    fmt.Sprintf(" %5s", "nodes"),
+		cell:    func(p Point) string { return fmt.Sprintf(" %5d", p.nodeCount()) },
+		csvHead: "nodes,",
+		csvCell: func(p Point) string { return fmt.Sprintf("%d,", p.nodeCount()) },
+		json: func(j *resultJSON, r Result) {
+			if n := r.Point.nodeCount(); n > 1 {
+				j.Nodes = n
 			}
-			shardFmt = fmt.Sprintf(" %6d", k)
-		}
-		if faulty {
-			faultFmt = fmt.Sprintf(" %6g %4d", p.Faults, p.Window)
-		}
-		if congested {
-			fabricFmt = fmt.Sprintf(" %8s", p.FabricRouting)
-		}
-		if service {
+		},
+		label: func(p Point) string { return fmt.Sprintf("/%dnodes", p.nodeCount()) },
+	},
+	{ // placement: a named policy put the nodes on the rack torus. A
+		// rejected single-node point shows its policy in Format and CSV
+		// only.
+		present: func(p Point) bool { return !p.Placement.IsZero() },
+		head:    fmt.Sprintf(" %-10s", "placement"),
+		cell:    func(p Point) string { return fmt.Sprintf(" %-10s", p.Placement) },
+		csvHead: "placement,",
+		csvCell: func(p Point) string { return fmt.Sprintf("%s,", p.Placement) },
+		json: func(j *resultJSON, r Result) {
+			if p := r.Point; p.nodeCount() > 1 && !p.Placement.IsZero() {
+				j.Placement = p.Placement.String()
+			}
+		},
+		label: func(p Point) string {
+			if p.nodeCount() <= 1 {
+				return ""
+			}
+			return "-" + p.Placement.String()
+		},
+	},
+	{ // shards: the cluster ran on more than one engine
+		present: func(p Point) bool { return p.Shards > 1 },
+		head:    fmt.Sprintf(" %6s", "shards"),
+		cell:    func(p Point) string { return fmt.Sprintf(" %6d", max(p.Shards, 1)) },
+		csvHead: "shards,",
+		csvCell: func(p Point) string { return fmt.Sprintf("%d,", max(p.Shards, 1)) },
+		json: func(j *resultJSON, r Result) {
+			if p := r.Point; p.nodeCount() > 1 && p.Shards > 1 {
+				j.Shards = p.Shards
+			}
+		},
+		label: func(p Point) string {
+			if p.nodeCount() <= 1 {
+				return ""
+			}
+			return fmt.Sprintf("/%dshards", p.Shards)
+		},
+	},
+	{ // faults: fabric drops or a QP credit window
+		present: func(p Point) bool { return p.Faults > 0 || p.Window > 0 },
+		head:    fmt.Sprintf(" %6s %4s", "drop", "win"),
+		cell:    func(p Point) string { return fmt.Sprintf(" %6g %4d", p.Faults, p.Window) },
+		csvHead: "drop_rate,window,",
+		csvCell: func(p Point) string { return fmt.Sprintf("%g,%d,", p.Faults, p.Window) },
+		wlNote: func(w *WorkloadResult) string {
+			return fmt.Sprintf(", retries=%d, failed=%d", w.Retries, w.Failed)
+		},
+		json: func(j *resultJSON, r Result) { j.DropRate, j.Window = r.Point.Faults, r.Point.Window },
+		label: func(p Point) string {
+			l := ""
+			if p.Faults > 0 {
+				l += fmt.Sprintf("/drop%g", p.Faults)
+			}
+			if p.Window > 0 {
+				l += fmt.Sprintf("/win%d", p.Window)
+			}
+			return l
+		},
+	},
+	{ // fabric: the congestion-faithful link-level fabric
+		present: func(p Point) bool { return p.FabricRouting != RouteNone },
+		head:    fmt.Sprintf(" %8s", "fabric"),
+		cell:    func(p Point) string { return fmt.Sprintf(" %8s", p.FabricRouting) },
+		csvHead: "fabric_routing,",
+		csvCell: func(p Point) string { return fmt.Sprintf("%s,", p.FabricRouting) },
+		json: func(j *resultJSON, r Result) {
+			if r.Point.FabricRouting != RouteNone {
+				j.Fabric = r.Point.FabricRouting.String()
+			}
+		},
+		label: func(p Point) string { return "/" + p.FabricRouting.String() },
+	},
+	{ // service: the open-loop replicated KV service
+		present: func(p Point) bool { return p.Mode == ServiceMode },
+		head:    fmt.Sprintf(" %-13s %6s", "arrival", "hedge"),
+		cell: func(p Point) string {
 			arr := "-"
 			if p.Mode == ServiceMode {
 				arr = p.Arrival.String()
 			}
-			svcFmt = fmt.Sprintf(" %-13s %6d", arr, p.Hedge)
+			return fmt.Sprintf(" %-13s %6d", arr, p.Hedge)
+		},
+		csvHead: "arrival,rate,hedge,",
+		csvCell: func(p Point) string {
+			if p.Mode != ServiceMode {
+				return ",,,"
+			}
+			return fmt.Sprintf("%s,%g,%d,", p.Arrival.Kind, p.Arrival.Rate, p.Hedge)
+		},
+		csvMetricHead: "offered,goodput,svc_mean,svc_p50,svc_p99,svc_p999,hedged,hedge_wins,cancelled,svc_failed,svc_drained,",
+		csvMetrics: func(r Result) string {
+			if r.SVC == nil {
+				return ",,,,,,,,,,,"
+			}
+			return fmt.Sprintf("%.4f,%.4f,%.2f,%d,%d,%d,%d,%d,%d,%d,%v,",
+				r.SVC.Offered, r.SVC.Goodput, r.SVC.MeanE2E, r.SVC.P50, r.SVC.P99,
+				r.SVC.P999, r.SVC.Hedged, r.SVC.HedgeWins, r.SVC.Cancelled,
+				r.SVC.Failed, r.SVC.Drained)
+		},
+		json: func(j *resultJSON, r Result) {
+			if p := r.Point; p.Mode == ServiceMode {
+				j.Arrival, j.Rate, j.Hedge, j.Service = p.Arrival.Kind, p.Arrival.Rate, p.Hedge, r.SVC
+			}
+		},
+		label: func(p Point) string {
+			l := "/" + p.Arrival.String()
+			if p.Hedge > 0 {
+				l += fmt.Sprintf("/hedge%d", p.Hedge)
+			}
+			return l
+		},
+	},
+}
+
+// columns returns the registry entries present in at least one point of
+// the set, in column order.
+func (rs Results) columns() []axisColumn {
+	var cols []axisColumn
+	for _, c := range axisColumns {
+		if slices.ContainsFunc(rs, func(r Result) bool { return c.present(r.Point) }) {
+			cols = append(cols, c)
 		}
-		fmt.Fprintf(&b, "%-12v %-8v %-7v %-13v %8d %5d %5d %6d%s%s%s%s%s%s  ",
+	}
+	return cols
+}
+
+// Format renders the results as an aligned table, one row per point.
+// Workload points report ops, mean and tail percentiles; skipped points
+// render as "-"; failed points show their error. Each optional axis of
+// the axisColumns registry adds its columns after seed when any point of
+// the set uses it; the faults axis also appends retry and
+// permanent-failure counts to workload rows.
+func (rs Results) Format() string {
+	var b strings.Builder
+	cols := rs.columns()
+	fmt.Fprintf(&b, "%-12s %-8s %-7s %-13s %8s %5s %5s %6s",
+		"design", "topology", "routing", "mode", "size(B)", "hops", "core", "seed")
+	for _, c := range cols {
+		b.WriteString(c.head)
+	}
+	b.WriteString("  result\n")
+	for _, r := range rs {
+		p := r.Point
+		fmt.Fprintf(&b, "%-12v %-8v %-7v %-13v %8d %5d %5d %6d",
 			p.Config.Design, p.Config.Topology, p.Config.Routing, p.modeLabel(),
-			p.Size, p.Hops, p.Core, p.Config.Seed, nodesFmt, placeFmt, shardFmt, faultFmt, fabricFmt, svcFmt)
+			p.Size, p.Hops, p.Core, p.Config.Seed)
+		for _, c := range cols {
+			b.WriteString(c.cell(p))
+		}
+		b.WriteString("  ")
 		switch {
 		case r.Err != nil:
 			fmt.Fprintf(&b, "error: %v\n", r.Err)
@@ -1133,12 +1070,14 @@ func (rs Results) Format() string {
 			fmt.Fprintf(&b, "%d ops, mean %.0f cyc, p50/p95/p99 %d/%d/%d, drained=%v",
 				r.WL.Completed, r.WL.MeanLatency, r.WL.P50, r.WL.P95, r.WL.P99,
 				r.WL.AllExhausted)
-			if faulty {
-				fmt.Fprintf(&b, ", retries=%d, failed=%d", r.WL.Retries, r.WL.Failed)
+			for _, c := range cols {
+				if c.wlNote != nil {
+					b.WriteString(c.wlNote(r.WL))
+				}
 			}
 			b.WriteString("\n")
 		default:
-			fmt.Fprintf(&b, "-\n")
+			b.WriteString("-\n")
 		}
 	}
 	return b.String()
@@ -1147,84 +1086,31 @@ func (rs Results) Format() string {
 // CSV renders the results as a comma-separated table with a header row.
 // Metric columns not applicable to a point's mode are left empty. The CSV
 // carries simulation results only (no wall-clock timing), so it is
-// deterministic: identical runs — serial or parallel — diff clean. A
-// nodes column follows seed when the set contains multi-node points,
-// drop_rate/window columns follow it when any point injects faults or
-// caps the QP window, and a fabric_routing column follows those when any
-// point runs the congestion-faithful fabric.
+// deterministic: identical runs — serial or parallel — diff clean. Each
+// optional axis of the axisColumns registry adds its columns after seed
+// when any point of the set uses it; the service axis also adds its
+// metric columns before error.
 func (rs Results) CSV() string {
 	var b strings.Builder
-	multi := rs.hasMultiNode()
-	placed := rs.hasPlacement()
-	sharded := rs.hasSharded()
-	faulty := rs.hasFaults()
-	congested := rs.hasFabricRouting()
-	service := rs.hasService()
-	nodesHdr := ""
-	if multi {
-		nodesHdr = "nodes,"
+	cols := rs.columns()
+	b.WriteString("design,topology,routing,mode,size_bytes,hops,core,seed,")
+	for _, c := range cols {
+		b.WriteString(c.csvHead)
 	}
-	placeHdr := ""
-	if placed {
-		placeHdr = "placement,"
+	b.WriteString("latency_cycles,latency_ns,app_gbps,noc_gbps,bisection_gbps,stable," +
+		"completed,wl_mean_cycles,wl_p50,wl_p95,wl_p99,wl_drained,")
+	for _, c := range cols {
+		b.WriteString(c.csvMetricHead)
 	}
-	shardHdr := ""
-	if sharded {
-		shardHdr = "shards,"
-	}
-	faultHdr := ""
-	if faulty {
-		faultHdr = "drop_rate,window,"
-	}
-	fabricHdr := ""
-	if congested {
-		fabricHdr = "fabric_routing,"
-	}
-	svcHdr, svcMetricHdr := "", ""
-	if service {
-		svcHdr = "arrival,rate,hedge,"
-		svcMetricHdr = "offered,goodput,svc_mean,svc_p50,svc_p99,svc_p999,hedged,hedge_wins,cancelled,svc_failed,svc_drained,"
-	}
-	b.WriteString("design,topology,routing,mode,size_bytes,hops,core,seed," + nodesHdr + placeHdr + shardHdr + faultHdr + fabricHdr + svcHdr +
-		"latency_cycles,latency_ns,app_gbps,noc_gbps,bisection_gbps,stable," +
-		"completed,wl_mean_cycles,wl_p50,wl_p95,wl_p99,wl_drained," + svcMetricHdr + "error\n")
+	b.WriteString("error\n")
 	for _, r := range rs {
 		p := r.Point
-		nodesCol := ""
-		if multi {
-			nodesCol = fmt.Sprintf("%d,", p.nodeCount())
-		}
-		placeCol := ""
-		if placed {
-			placeCol = fmt.Sprintf("%s,", p.placement())
-		}
-		shardCol := ""
-		if sharded {
-			k := p.Shards
-			if k < 1 {
-				k = 1
-			}
-			shardCol = fmt.Sprintf("%d,", k)
-		}
-		faultCol := ""
-		if faulty {
-			faultCol = fmt.Sprintf("%g,%d,", p.Faults, p.Window)
-		}
-		fabricCol := ""
-		if congested {
-			fabricCol = fmt.Sprintf("%s,", p.FabricRouting)
-		}
-		svcCol := ""
-		if service {
-			if p.Mode == ServiceMode {
-				svcCol = fmt.Sprintf("%s,%g,%d,", p.Arrival.Kind, p.Arrival.Rate, p.Hedge)
-			} else {
-				svcCol = ",,,"
-			}
-		}
-		fmt.Fprintf(&b, "%v,%v,%v,%v,%d,%d,%d,%d,%s%s%s%s%s%s",
+		fmt.Fprintf(&b, "%v,%v,%v,%v,%d,%d,%d,%d,",
 			p.Config.Design, p.Config.Topology, p.Config.Routing, p.modeLabel(),
-			p.Size, p.Hops, p.Core, p.Config.Seed, nodesCol, placeCol, shardCol, faultCol, fabricCol, svcCol)
+			p.Size, p.Hops, p.Core, p.Config.Seed)
+		for _, c := range cols {
+			b.WriteString(c.csvCell(p))
+		}
 		switch {
 		case r.Sync != nil:
 			fmt.Fprintf(&b, "%.2f,%.2f,,,,,,,,,,,", r.Sync.MeanCycles, r.Sync.MeanNS)
@@ -1237,14 +1123,9 @@ func (rs Results) CSV() string {
 		default:
 			b.WriteString(",,,,,,,,,,,,")
 		}
-		if service {
-			if r.SVC != nil {
-				fmt.Fprintf(&b, "%.4f,%.4f,%.2f,%d,%d,%d,%d,%d,%d,%d,%v,",
-					r.SVC.Offered, r.SVC.Goodput, r.SVC.MeanE2E, r.SVC.P50, r.SVC.P99,
-					r.SVC.P999, r.SVC.Hedged, r.SVC.HedgeWins, r.SVC.Cancelled,
-					r.SVC.Failed, r.SVC.Drained)
-			} else {
-				b.WriteString(",,,,,,,,,,,")
+		for _, c := range cols {
+			if c.csvMetrics != nil {
+				b.WriteString(c.csvMetrics(r))
 			}
 		}
 		if r.Err != nil {
@@ -1309,25 +1190,8 @@ func (rs Results) JSON() ([]byte, error) {
 			WallMS:    float64(r.Wall.Microseconds()) / 1000,
 			Skipped:   r.skipped(),
 		}
-		if n := p.nodeCount(); n > 1 {
-			out[i].Nodes = n
-			if pol := p.placement(); !pol.IsZero() {
-				out[i].Placement = pol.String()
-			}
-			if p.Shards > 1 {
-				out[i].Shards = p.Shards
-			}
-		}
-		out[i].DropRate = p.Faults
-		out[i].Window = p.Window
-		if p.FabricRouting != RouteNone {
-			out[i].Fabric = p.FabricRouting.String()
-		}
-		if p.Mode == ServiceMode {
-			out[i].Arrival = p.Arrival.Kind
-			out[i].Rate = p.Arrival.Rate
-			out[i].Hedge = p.Hedge
-			out[i].Service = r.SVC
+		for _, c := range axisColumns {
+			c.json(&out[i], r)
 		}
 		if r.Err != nil {
 			out[i].Error = r.Err.Error()
