@@ -205,6 +205,13 @@ func (q *QueuePair) WQBlockHasNew() bool {
 // returns the consumed requests (possibly several per block, one of the
 // NIedge small-transfer effects of §6.2).
 func (q *QueuePair) PopWQ() []*Request {
+	// Head meeting tail means no valid entry unless the ring is full, and
+	// it cannot be full with fewer requests in flight than slots. Idle QPs
+	// poll without pause, so answering from these counters spares a cache
+	// miss on the entry array per poll.
+	if q.wqHead == q.wqTail && q.inFlight < len(q.wq) {
+		return q.wqBuf[:0]
+	}
 	blk := q.WQTailAddr() &^ uint64(q.cfg.BlockBytes-1)
 	out := q.wqBuf[:0]
 	for q.wq[q.wqTail].Valid {

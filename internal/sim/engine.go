@@ -8,13 +8,16 @@
 // order, which makes every simulation fully deterministic.
 //
 // The kernel is allocation-free in steady state: events are plain records
-// stored by value in per-slot wheel buffers whose backing arrays are
-// compacted in place and reused, so the only allocations are the one-time
-// growth of those buffers. Hot-path components schedule through Post, which
-// carries a static handler function plus packed arguments; Schedule remains
-// as the closure-based convenience API for cold paths (a closure the caller
-// already holds is stored without boxing, since func values are
-// pointer-shaped).
+// stored by value in per-slot wheel buffers. A slot that drains empty hands
+// its backing array to the engine's spare stack, and the next empty slot to
+// receive an event takes a spare before it appends, so the buffers are
+// recycled across slots and the wheel retains memory for the slots occupied
+// at once, not for all wheelSize of them. The only allocations are the
+// one-time growth of those buffers. Hot-path components schedule through
+// Post, which carries a static handler function plus packed arguments;
+// Schedule remains as the closure-based convenience API for cold paths (a
+// closure the caller already holds is stored without boxing, since func
+// values are pointer-shaped).
 package sim
 
 import "math/bits"
@@ -33,9 +36,10 @@ type EventFunc func(a, b any, i int64)
 
 // event is one scheduled occurrence. Events are stored by value; the wheel
 // slot buffers double as the free list, so an executed event's record is
-// reused by a later Schedule/Post into the same slot. Wheel slots execute
-// in append order, which equals schedule order for same-cycle events, so
-// no sequence number is stored; only the overflow heap needs one.
+// reused by a later Schedule/Post into whichever slot the buffer serves
+// next. Wheel slots execute in append order, which equals schedule order
+// for same-cycle events, so no sequence number is stored; only the
+// overflow heap needs one.
 type event struct {
 	at   int64
 	fn   EventFunc
@@ -59,6 +63,7 @@ type Engine struct {
 	pending int
 	wheel   [wheelSize][]event
 	occ     [wheelSize / 64]uint64 // bitmap of non-empty wheel slots
+	spare   [][]event              // drained slot buffers (len 0), reused LIFO
 	over    overflowHeap
 	cal     calHeap // canonical calendar, drained before each cycle's wheel
 	stopped bool
@@ -78,15 +83,19 @@ func (e *Engine) Now() int64 { return e.now }
 // engine indistinguishable from a fresh one; callers must re-arm any
 // self-sustaining event chains (pollers, watchdogs) afterwards. Slot and
 // heap backing arrays are kept, so a reset engine re-runs without
-// re-growing them.
+// re-growing them: occupied slots hand theirs to the spare stack, cleared.
 func (e *Engine) Reset() {
 	if e.pending > 0 {
 		for slot := range e.wheel {
 			evs := e.wheel[slot]
+			if cap(evs) == 0 {
+				continue
+			}
 			for i := range evs {
 				evs[i] = event{}
 			}
-			e.wheel[slot] = evs[:0]
+			e.spare = append(e.spare, evs[:0])
+			e.wheel[slot] = nil
 		}
 		for i := range e.over {
 			e.over[i] = overEvent{}
@@ -118,13 +127,27 @@ func (e *Engine) Post(delay int64, fn EventFunc, a, b any, i int64) {
 	at := e.now + delay
 	e.pending++
 	if delay < wheelSize {
-		slot := int(at & (wheelSize - 1))
-		e.wheel[slot] = append(e.wheel[slot], event{at: at, fn: fn, a: a, b: b, i: i})
-		e.occ[slot>>6] |= 1 << uint(slot&63)
+		e.push(int(at&(wheelSize-1)), event{at: at, fn: fn, a: a, b: b, i: i})
 		return
 	}
 	e.seq++
 	e.over.push(overEvent{event: event{at: at, fn: fn, a: a, b: b, i: i}, seq: e.seq})
+}
+
+// push appends ev to a wheel slot. A slot without a buffer first takes the
+// most recently drained spare, so buffers circulate among the few slots
+// occupied at once instead of each of the wheelSize slots keeping its own.
+func (e *Engine) push(slot int, ev event) {
+	evs := e.wheel[slot]
+	if cap(evs) == 0 {
+		if n := len(e.spare) - 1; n >= 0 {
+			evs = e.spare[n]
+			e.spare[n] = nil
+			e.spare = e.spare[:n]
+		}
+		e.occ[slot>>6] |= 1 << uint(slot&63)
+	}
+	e.wheel[slot] = append(evs, ev)
 }
 
 // runClosure is the trampoline behind Schedule.
@@ -187,15 +210,21 @@ func (e *Engine) Run(until int64) int64 {
 				// array); refresh.
 				evs = e.wheel[slot]
 			}
-			// The dropped tail is NOT zeroed: under load the slot is
-			// overwritten within one wheel lap anyway, and the per-cycle
-			// memclr of executed events was a measurable cost at cluster
-			// scale (64 nodes sharing one wheel). Executed events may pin
-			// their (pooled, recycled) arguments until the slot's next
-			// append — bounded staleness, no correctness effect.
-			e.wheel[slot] = evs[:w]
+			// A slot that drained empty gives its buffer to the spare
+			// stack, where the next empty slot to receive an event picks
+			// it up. The executed records are NOT zeroed: the buffer is
+			// overwritten by that next slot's appends, usually within a
+			// few cycles, and the per-cycle memclr of executed events was
+			// a measurable cost at cluster scale (64 nodes sharing one
+			// wheel). Executed events may pin their (pooled, recycled)
+			// arguments until the buffer is refilled — bounded staleness,
+			// no correctness effect.
 			if w == 0 {
+				e.spare = append(e.spare, evs[:0])
+				e.wheel[slot] = nil
 				e.occ[slot>>6] &^= 1 << uint(slot&63)
+			} else {
+				e.wheel[slot] = evs[:w]
 			}
 			if e.stopped {
 				return e.now
@@ -231,9 +260,7 @@ func (e *Engine) Run(until int64) int64 {
 		// Re-home overflow events that are now within the wheel horizon.
 		for len(e.over) > 0 && e.over[0].at-e.now < wheelSize {
 			ev := e.over.pop()
-			s := int(ev.at & (wheelSize - 1))
-			e.wheel[s] = append(e.wheel[s], ev.event)
-			e.occ[s>>6] |= 1 << uint(s&63)
+			e.push(int(ev.at&(wheelSize-1)), ev.event)
 		}
 	}
 	return e.now

@@ -1,6 +1,7 @@
 package rackni
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -102,6 +103,68 @@ func FuzzCheckSweepPoint(f *testing.F) {
 		}
 		if err := CheckSweepPoints([]Point{p}); err != nil && !strings.Contains(err.Error(), "point 0") {
 			t.Fatalf("rejection does not name the point: %v", err)
+		}
+	})
+}
+
+// numericList is one comma-list parser under FuzzParseNumericLists: it
+// parses s and reports the first accepted value outside the range the
+// parser's doc comment states, and how many values it accepted.
+type numericList struct {
+	name  string
+	check func(s string) (n int, bad string, err error)
+}
+
+// numericParser adapts a typed list parser and its documented range.
+func numericParser[T any](name string, parse func(string) ([]T, error), inRange func(T) bool) numericList {
+	return numericList{name, func(s string) (int, string, error) {
+		vs, err := parse(s)
+		for _, v := range vs {
+			if !inRange(v) {
+				return len(vs), fmt.Sprint(v), err
+			}
+		}
+		return len(vs), "", err
+	}}
+}
+
+// FuzzParseNumericLists: no numeric list parser panics, an accepted list
+// has one value per comma-separated token, and every accepted value lies
+// in the range the parser documents.
+func FuzzParseNumericLists(f *testing.F) {
+	for _, s := range []string{"64,4096", "1,3,6", "0", " 7 ", "-1", "1,,2", "", ",",
+		"0.001,0.01", "0.5,2,8", "1", "0.9999999999999999", "1e-320", "0x1p-2",
+		"NaN", "Inf", "-0", "1e309", "9223372036854775807", "9223372036854775808",
+		"18446744073709551615", "+5", "0,2000"} {
+		f.Add(s)
+	}
+	positive := func(v int) bool { return v > 0 }
+	nonNegative := func(v int) bool { return v >= 0 }
+	parsers := []numericList{
+		numericParser("ParseSizes", ParseSizes, positive),
+		numericParser("ParseHops", ParseHops, nonNegative),
+		numericParser("ParseCores", ParseCores, nonNegative),
+		numericParser("ParseNodeCounts", ParseNodeCounts, positive),
+		numericParser("ParseShards", ParseShards, positive),
+		numericParser("ParseWindows", ParseWindows, nonNegative),
+		numericParser("ParseDropRates", ParseDropRates, func(v float64) bool { return v >= 0 && v < 1 }),
+		numericParser("ParseRates", ParseRates, func(v float64) bool { return v > 0 && !math.IsInf(v, 0) }),
+		numericParser("ParseHedges", ParseHedges, func(v int64) bool { return v >= 0 }),
+		numericParser("ParseSeeds", ParseSeeds, func(uint64) bool { return true }),
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tokens := strings.Count(s, ",") + 1
+		for _, p := range parsers {
+			n, bad, err := p.check(s)
+			if err != nil {
+				continue
+			}
+			if bad != "" {
+				t.Fatalf("%s(%q) accepted %s, outside its documented range", p.name, s, bad)
+			}
+			if n != tokens {
+				t.Fatalf("%s(%q) accepted %d values for %d tokens", p.name, s, n, tokens)
+			}
 		}
 	})
 }
